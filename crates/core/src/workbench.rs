@@ -10,15 +10,15 @@ use csp_lang::{
 };
 use csp_obs::Collector;
 use csp_proof::{check_with, CheckReport, Context, Judgement, Proof, ProofError};
-use csp_runtime::{
-    check_conformance_with_engine, ConformanceReport, Executor, RunOptions, RunResult,
+use csp_runtime::{check_conformance, ConformanceReport, Executor, RunOptions, RunResult};
+use csp_semantics::{
+    fixpoint_with, walk, CompiledLts, Config, Engine, FixpointRun, Lts, Semantics, Universe,
 };
-use csp_semantics::{fixpoint_with, CompiledLts, Engine, FixpointRun, Lts, Semantics, Universe};
 use csp_trace::{Channel, ChannelSet};
 use csp_trace::{TraceSet, Value};
 use csp_verify::{
-    fault_conformance, find_deadlocks, find_deadlocks_compiled, DeadlockReport, FaultConformance,
-    FaultSweep, SatChecker, SatResult,
+    fault_conformance, find_deadlocks, DeadlockReport, FaultConformance, FaultSweep, SatChecker,
+    SatResult,
 };
 
 use crate::options::{ConformanceOptions, SatOptions};
@@ -469,7 +469,7 @@ impl Workbench {
             .iter()
             .map(|s| self.assertion(s))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(check_conformance_with_engine(
+        Ok(check_conformance(
             &Process::call(name),
             &self.env,
             &self.defs,
@@ -551,8 +551,10 @@ impl Workbench {
 
     /// Bounded deadlock search over the operational semantics — the
     /// analysis §4 says the trace model cannot express. Accepts a bare
-    /// depth or a [`SatOptions`] bundle (whose `engine` selects the
-    /// backend; both produce the same report).
+    /// depth or a [`SatOptions`] bundle: `depth` bounds the visible
+    /// events, `depth × internal_budget_factor` the concealed steps
+    /// along any path, and `engine` picks the relation (both give the
+    /// same report).
     ///
     /// # Errors
     ///
@@ -563,16 +565,20 @@ impl Workbench {
         opts: impl Into<SatOptions>,
     ) -> Result<DeadlockReport, WorkbenchError> {
         let opts = opts.into();
-        let process = Process::call(name);
-        let report = match opts.engine.resolve(&self.defs, &process) {
-            Engine::Compiled => find_deadlocks_compiled(
-                &self.defs,
-                &self.universe,
-                &process,
-                &self.env,
+        let start = Config::new(Process::call(name), self.env.clone());
+        let budget = opts.depth * opts.internal_budget_factor;
+        let report = match opts.engine.resolve(&self.defs, start.process()) {
+            Engine::Compiled => {
+                let mut rel = CompiledLts::new(&self.defs, &self.universe);
+                let s = rel.intern(start);
+                find_deadlocks(&mut rel, s, opts.depth, budget)?
+            }
+            _ => find_deadlocks(
+                &mut Lts::new(&self.defs, &self.universe),
+                start,
                 opts.depth,
+                budget,
             )?,
-            _ => find_deadlocks(&self.defs, &self.universe, &process, &self.env, opts.depth)?,
         };
         Ok(report)
     }
@@ -582,9 +588,10 @@ impl Workbench {
     /// (a bare depth or a [`SatOptions`] bundle). Returns the first
     /// counterexample trace on failure.
     ///
-    /// With the compiled engine the check runs as a subset construction
-    /// over the interned transition graph — nothing is materialised; the
-    /// enumerative engine compares the explicit trace sets.
+    /// The check is a subset construction over the transition relation
+    /// (see [`walk::refines`]); nothing is materialised. Under
+    /// [`Engine::Auto`] it runs on the memoised relation when either
+    /// side is a network.
     ///
     /// # Errors
     ///
@@ -596,34 +603,25 @@ impl Workbench {
         opts: impl Into<SatOptions>,
     ) -> Result<Result<(), csp_trace::Trace>, WorkbenchError> {
         let opts = opts.into();
-        let depth = opts.depth;
-        let impl_p = Process::call(implementation);
-        let spec_p = Process::call(specification);
-        // Either side being a network is enough to prefer the compiled
-        // walk: the product construction pays off on whichever side has
-        // confluent interleavings.
-        let engine = match opts.engine {
-            Engine::Auto => {
-                if opts.engine.resolve(&self.defs, &impl_p) == Engine::Compiled
-                    || opts.engine.resolve(&self.defs, &spec_p) == Engine::Compiled
-                {
-                    Engine::Compiled
-                } else {
-                    Engine::Enumerative
-                }
-            }
-            e => e,
+        let imp = Config::new(Process::call(implementation), self.env.clone());
+        let spec = Config::new(Process::call(specification), self.env.clone());
+        let compiled =
+            |p: &Config| opts.engine.resolve(&self.defs, p.process()) == Engine::Compiled;
+        let (depth, budget) = (opts.depth, opts.depth * opts.internal_budget_factor);
+        let verdict = if compiled(&imp) || compiled(&spec) {
+            let mut rel = CompiledLts::new(&self.defs, &self.universe);
+            let (i, s) = (rel.intern(imp), rel.intern(spec));
+            walk::refines(&mut rel, &i, &s, depth, budget)?
+        } else {
+            walk::refines(
+                &mut Lts::new(&self.defs, &self.universe),
+                &imp,
+                &spec,
+                depth,
+                budget,
+            )?
         };
-        if engine == Engine::Compiled {
-            let mut lts = CompiledLts::new(&self.defs, &self.universe);
-            let i = lts.start(implementation, &self.env);
-            let s = lts.start(specification, &self.env);
-            return Ok(lts.refines(i, s, depth, depth * opts.internal_budget_factor)?);
-        }
-        let lts = csp_semantics::Lts::new(&self.defs, &self.universe);
-        let impl_ts = lts.traces(&lts.initial(implementation, &self.env), depth)?;
-        let spec_ts = lts.traces(&lts.initial(specification, &self.env), depth)?;
-        Ok(csp_semantics::refines(&impl_ts, &spec_ts))
+        Ok(verdict)
     }
 
     /// Runs the paper's fixpoint construction (§3.3) over all current
@@ -949,6 +947,48 @@ mod tests {
             .unwrap();
         assert_eq!(a.states_explored, b.states_explored);
         assert_eq!(a.deadlocks.len(), b.deadlocks.len());
+    }
+
+    /// Four hidden steps, then one visible event: only a concealed-step
+    /// budget of at least four reaches `out.0`.
+    fn hidden_prelude_wb() -> Workbench {
+        let mut wb = Workbench::new().with_universe(Universe::new(1));
+        wb.define_source(
+            "lp = a!0 -> a!0 -> a!0 -> a!0 -> out!0 -> STOP
+             imp = chan a; lp
+             spec = STOP",
+        )
+        .unwrap();
+        wb
+    }
+
+    #[test]
+    fn every_engine_gives_the_same_refinement_verdict() {
+        let wb = hidden_prelude_wb();
+        for engine in [Engine::Enumerative, Engine::Compiled, Engine::Auto] {
+            let verdict = wb
+                .refines("imp", "spec", SatOptions::from(1).with_engine(engine))
+                .unwrap();
+            let cex = verdict.expect_err(engine.as_str());
+            assert_eq!(cex.to_string(), "<out.0>", "{engine}");
+        }
+    }
+
+    #[test]
+    fn deadlock_search_takes_the_budget_factor() {
+        let wb = hidden_prelude_wb();
+        let opts = |factor| SatOptions::from(1).with_internal_budget_factor(factor);
+        let short = wb.deadlocks("imp", opts(1)).unwrap();
+        assert!(short.deadlocks.is_empty());
+        assert_eq!(short.states_explored, 2);
+        for engine in [Engine::Enumerative, Engine::Compiled] {
+            let long = wb.deadlocks("imp", opts(8).with_engine(engine)).unwrap();
+            let [dead] = &long.deadlocks[..] else {
+                panic!("{engine}: {long:?}");
+            };
+            assert_eq!(dead.trace.to_string(), "<out.0>");
+            assert!(dead.terminated);
+        }
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! `P sat R`; the *model* defines `⟦P⟧`; the *runtime* produces actual
 //! traces; conformance shows the three agree on real executions.
 
+use std::collections::BTreeSet;
+
 use csp_assert::{Assertion, EvalCtx, FuncTable};
 use csp_lang::{Definitions, Env, EvalError, Process};
-use csp_semantics::{CompiledLts, CompiledStep, Config, Engine, Lts, StateId, Step, Universe};
+use csp_semantics::{walk, CompiledLts, Config, Engine, Lts, Successors, Universe};
 use csp_trace::Trace;
 
 /// The verdict of a conformance check.
@@ -33,45 +35,17 @@ impl ConformanceReport {
 /// Replays a recorded *visible* trace against the operational semantics
 /// of `process` and checks the given invariants at every prefix.
 ///
-/// The replay tracks the set of configurations the network could be in
-/// (hidden communications may interleave anywhere, so each visible event
-/// is matched after up to `internal_budget` concealed steps).
-///
-/// # Errors
-///
-/// Propagates evaluation failures from the semantics or the assertions.
-pub fn check_conformance(
-    process: &Process,
-    env: &Env,
-    defs: &Definitions,
-    universe: &Universe,
-    visible: &Trace,
-    invariants: &[Assertion],
-    internal_budget: usize,
-) -> Result<ConformanceReport, EvalError> {
-    check_conformance_with_engine(
-        process,
-        env,
-        defs,
-        universe,
-        visible,
-        invariants,
-        internal_budget,
-        Engine::Auto,
-    )
-}
-
-/// [`check_conformance`] with an explicit backend choice. The engines
-/// track identical frontiers (the compiled one holds interned state ids
-/// instead of configurations), so the reports are the same; the compiled
-/// replay pays the stepping cost once per distinct network state rather
-/// than once per frontier occurrence.
+/// The replay tracks the set of states the network could be in (hidden
+/// communications may interleave anywhere, so each visible event is
+/// matched after up to `internal_budget` concealed steps). `engine`
+/// picks the relation the replay runs on; the report is the same on
+/// either.
 ///
 /// # Errors
 ///
 /// Propagates evaluation failures from the semantics or the assertions.
 #[allow(clippy::too_many_arguments)]
-pub fn check_conformance_with_engine(
+pub fn check_conformance(
     process: &Process,
     env: &Env,
     defs: &Definitions,
@@ -81,11 +55,19 @@ pub fn check_conformance_with_engine(
     internal_budget: usize,
     engine: Engine,
 ) -> Result<ConformanceReport, EvalError> {
+    let start = Config::new(process.clone(), env.clone());
     let diverged_at = match engine.resolve(defs, process) {
         Engine::Compiled => {
-            replay_compiled(process, env, defs, universe, visible, internal_budget)?
+            let mut rel = CompiledLts::new(defs, universe);
+            let s = rel.intern(start);
+            replay(&mut rel, s, visible, internal_budget)?
         }
-        _ => replay_enumerative(process, env, defs, universe, visible, internal_budget)?,
+        _ => replay(
+            &mut Lts::new(defs, universe),
+            start,
+            visible,
+            internal_budget,
+        )?,
     };
 
     // Invariants at every prefix (including the complete trace and <>).
@@ -117,112 +99,23 @@ pub fn check_conformance_with_engine(
     })
 }
 
-/// The enumerative replay: tracks a frontier of configurations.
-fn replay_enumerative(
-    process: &Process,
-    env: &Env,
-    defs: &Definitions,
-    universe: &Universe,
+/// The index of the first event of `visible` that no state of the
+/// frontier offers, advancing the frontier one [`walk::after`] step per
+/// event (the step the online [`crate::Monitor`] takes too).
+fn replay<R: Successors>(
+    rel: &mut R,
+    start: R::State,
     visible: &Trace,
     internal_budget: usize,
 ) -> Result<Option<usize>, EvalError> {
-    let lts = Lts::new(defs, universe);
-    let mut frontier = vec![Config::new(process.clone(), env.clone())];
+    let mut frontier = walk::tau_closure(rel, BTreeSet::from([start]), internal_budget)?;
     for (i, event) in visible.iter().enumerate() {
-        let mut next = Vec::new();
-        for cfg in &frontier {
-            collect_after(&lts, cfg, event, internal_budget, &mut next)?;
-        }
-        next.sort();
-        next.dedup();
-        if next.is_empty() {
+        frontier = walk::after(rel, &frontier, event, internal_budget)?;
+        if frontier.is_empty() {
             return Ok(Some(i));
         }
-        frontier = next;
     }
     Ok(None)
-}
-
-/// The compiled replay: the same frontier tracking over interned state
-/// ids, with successor rows memoised across the whole replay.
-fn replay_compiled(
-    process: &Process,
-    env: &Env,
-    defs: &Definitions,
-    universe: &Universe,
-    visible: &Trace,
-    internal_budget: usize,
-) -> Result<Option<usize>, EvalError> {
-    let mut lts = CompiledLts::new(defs, universe);
-    let start = lts.intern(Config::new(process.clone(), env.clone()));
-    let mut frontier = vec![start];
-    for (i, event) in visible.iter().enumerate() {
-        let mut next = Vec::new();
-        for &id in &frontier {
-            collect_after_compiled(&mut lts, id, event, internal_budget, &mut next)?;
-        }
-        next.sort();
-        next.dedup();
-        if next.is_empty() {
-            return Ok(Some(i));
-        }
-        frontier = next;
-    }
-    Ok(None)
-}
-
-/// Collects every configuration reachable from `cfg` by at most `budget`
-/// internal steps followed by the visible `event`.
-fn collect_after(
-    lts: &Lts<'_>,
-    cfg: &Config,
-    event: &csp_trace::Event,
-    budget: usize,
-    out: &mut Vec<Config>,
-) -> Result<(), EvalError> {
-    for step in lts.steps(cfg)? {
-        match step {
-            Step::Visible(e, next) => {
-                if &e == event {
-                    out.push(next);
-                }
-            }
-            Step::Internal(next) => {
-                if budget > 0 {
-                    collect_after(lts, &next, event, budget - 1, out)?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// [`collect_after`] over compiled rows. Also the stepping primitive of
-/// the online [`crate::Monitor`], which tracks the same frontier one
-/// event at a time while the run executes.
-pub(crate) fn collect_after_compiled(
-    lts: &mut CompiledLts<'_>,
-    id: StateId,
-    event: &csp_trace::Event,
-    budget: usize,
-    out: &mut Vec<StateId>,
-) -> Result<(), EvalError> {
-    let n = lts.steps_of(id)?.len();
-    for k in 0..n {
-        match lts.steps_of(id)?[k].clone() {
-            CompiledStep::Visible(e, next) => {
-                if &e == event {
-                    out.push(next);
-                }
-            }
-            CompiledStep::Internal(next) => {
-                if budget > 0 {
-                    collect_after_compiled(lts, next, event, budget - 1, out)?;
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -265,6 +158,7 @@ mod tests {
             &res.visible,
             &[inv],
             8,
+            Engine::Auto,
         )
         .unwrap();
         assert!(report.conforms(), "{report:?}");
@@ -295,6 +189,7 @@ mod tests {
             &res.visible,
             &[inv],
             12,
+            Engine::Auto,
         )
         .unwrap();
         assert!(report.conforms(), "{report:?}");
@@ -314,6 +209,7 @@ mod tests {
             &bogus,
             &[],
             8,
+            Engine::Auto,
         )
         .unwrap();
         assert!(!report.trace_admitted);
@@ -341,7 +237,7 @@ mod tests {
             let mut reports = Vec::new();
             for engine in [Engine::Enumerative, Engine::Compiled, Engine::Auto] {
                 reports.push(
-                    check_conformance_with_engine(
+                    check_conformance(
                         &Process::call("pipeline"),
                         &Env::new(),
                         &defs,
@@ -387,6 +283,7 @@ mod tests {
             &res.visible,
             &[false_inv],
             8,
+            Engine::Auto,
         )
         .unwrap();
         assert!(report.trace_admitted);

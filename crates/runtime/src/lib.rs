@@ -47,7 +47,7 @@ mod net;
 mod scheduler;
 mod supervisor;
 
-pub use conformance::{check_conformance, check_conformance_with_engine, ConformanceReport};
+pub use conformance::{check_conformance, ConformanceReport};
 pub use executor::{Executor, RunError, RunOptions, RunResult};
 pub use fault::{ComponentSel, Fault, FaultError, FaultPlan, RestartPolicy};
 pub use monitor::{

@@ -3,22 +3,23 @@
 //!
 //! Where [`crate::check_conformance`] replays a *finished* trace, the
 //! monitor is fed each visible event as the coordinator commits it. It
-//! tracks the same frontier the compiled conformance replay would — a
-//! set of [`StateId`]s in a [`CompiledLts`], advanced by one visible
-//! event (plus up to a budget of concealed steps) per observation — so
-//! trace-membership is decided incrementally, and every observed prefix
+//! tracks the same frontier the conformance replay does — a set of
+//! [`StateId`]s in a [`CompiledLts`], advanced by one
+//! [`walk::after`] step (the visible event, then up to a budget of
+//! concealed steps) per observation — so trace-membership is decided
+//! incrementally, and every observed prefix
 //! is checked against the monitored assertions the way `P sat R`
 //! quantifies over prefixes (§2.2). The first event the semantics cannot
 //! match, or the first prefix falsifying an assertion, latches a
 //! [`MonitorViolation`]; the run continues (observation must not change
 //! the observed system) but the verdict is final.
 
+use std::collections::BTreeSet;
+
 use csp_assert::{Assertion, EvalCtx, FuncTable};
 use csp_lang::{Definitions, Env, Process};
-use csp_semantics::{CompiledLts, Config, StateId, Universe};
+use csp_semantics::{walk, CompiledLts, Config, StateId, Universe};
 use csp_trace::{Event, Trace};
-
-use crate::conformance::collect_after_compiled;
 
 /// What an online monitor should check, carried in
 /// [`crate::RunOptions::monitor`].
@@ -162,7 +163,7 @@ impl MonitorReport {
 /// stepping cost once per distinct network state.
 pub struct Monitor<'a> {
     lts: CompiledLts<'a>,
-    frontier: Vec<StateId>,
+    frontier: BTreeSet<StateId>,
     env: Env,
     universe: &'a Universe,
     funcs: FuncTable,
@@ -186,17 +187,22 @@ impl<'a> Monitor<'a> {
     ) -> Self {
         let mut lts = CompiledLts::new(defs, universe);
         let start = lts.intern(Config::new(process.clone(), env.clone()));
+        let budget = spec.internal_budget;
+        let (frontier, error) = match walk::tau_closure(&mut lts, BTreeSet::from([start]), budget) {
+            Ok(frontier) => (frontier, None),
+            Err(e) => (BTreeSet::new(), Some(e.to_string())),
+        };
         Monitor {
             lts,
-            frontier: vec![start],
+            frontier,
             env: env.clone(),
             universe,
             funcs: FuncTable::with_builtins(),
             assertions: spec.assertions,
-            budget: spec.internal_budget,
+            budget,
             visible: Vec::new(),
             violation: None,
-            error: None,
+            error,
             events_checked: 0,
         }
     }
@@ -218,21 +224,16 @@ impl<'a> Monitor<'a> {
         let visible_index = self.visible.len();
         self.events_checked += 1;
 
-        // One frontier step: up to `budget` concealed moves, then the
-        // observed event. Empty next-frontier = the spec admits no such
+        // One frontier step: the observed event, then up to `budget`
+        // concealed moves. An empty frontier = the spec admits no such
         // continuation.
-        let mut next = Vec::new();
-        for i in 0..self.frontier.len() {
-            let id = self.frontier[i];
-            if let Err(e) =
-                collect_after_compiled(&mut self.lts, id, &event, self.budget, &mut next)
-            {
+        let next = match walk::after(&mut self.lts, &self.frontier, &event, self.budget) {
+            Ok(next) => next,
+            Err(e) => {
                 self.error = Some(e.to_string());
                 return false;
             }
-        }
-        next.sort();
-        next.dedup();
+        };
         if next.is_empty() {
             self.violation = Some(MonitorViolation {
                 step,

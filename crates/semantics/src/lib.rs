@@ -9,18 +9,19 @@
 //! * [`mod@fixpoint`] — the explicit approximation sequence `a₀ ⊆ a₁ ⊆ …` of
 //!   §3.3 for (mutually) recursive definitions and process arrays, with
 //!   convergence detection.
-//! * [`Lts`] — a labelled transition system derived from the syntax; its
-//!   traces provably (by test) agree with the denotational model, and it
-//!   composes networks on the fly, which is what the larger experiments
-//!   use.
+//! * [`Lts`] — the labelled transition system of §1.2, derived from the
+//!   syntax and composing networks on the fly; its traces provably (by
+//!   test) agree with the denotational model.
+//! * [`CompiledLts`] — the same relation memoised: configurations
+//!   interned into a [`StateId`] arena, each successor row computed
+//!   once.
+//! * [`Successors`] and [`mod@walk`] — the interface both relations
+//!   implement, and the queries written once over it: bounded traces,
+//!   τ-closure, the visible-event frontier step, and trace refinement by
+//!   subset construction. [`Engine`] picks the relation a query runs on
+//!   and is re-exported by `csp-core` as the option-level selector.
 //! * [`compare`]/[`refines`] — trace-set equality and refinement with
 //!   counterexample reporting (e.g. the §4 identity `STOP | P = P`).
-//! * [`CompiledLts`] — the compiled backend: the same transition relation
-//!   with configurations interned into a [`StateId`] arena and successor
-//!   rows memoised, so reachability-style checks (deadlock, refinement)
-//!   run over [`StateSet`] bitsets instead of re-stepping terms.
-//!   [`Engine`] selects between the backends and is re-exported by
-//!   `csp-core` as the option-level selector.
 //!
 //! ```
 //! use csp_lang::{examples, Env};
@@ -46,10 +47,12 @@ mod lts;
 mod universe;
 
 pub mod fixpoint;
+pub mod walk;
 
-pub use compiled::{CompiledLts, CompiledStep, Engine, StateId, StateSet};
+pub use compiled::{CompiledLts, Engine, StateId};
 pub use denote::Semantics;
 pub use equiv::{compare, refines, Discrepancy};
 pub use fixpoint::{fixpoint, fixpoint_with, Approximation, FixpointRun, ProcKey};
 pub use lts::{Config, Lts, Step};
 pub use universe::Universe;
+pub use walk::Successors;

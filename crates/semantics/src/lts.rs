@@ -14,12 +14,13 @@
 //! exponentially cheaper for networks like the multiplier array and is
 //! what the benchmark harness uses for the larger experiments.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use csp_lang::{ChanRef, Definitions, Env, EvalError, Expr, Process};
-use csp_trace::{ChannelSet, Event, Trace, TraceSet};
+use csp_trace::{ChannelSet, Event, TraceSet};
 
+use crate::walk::{self, Successors};
 use crate::Universe;
 
 /// A configuration: a process term plus the environment binding its free
@@ -56,14 +57,15 @@ impl Config {
     }
 }
 
-/// One transition out of a configuration.
+/// One transition out of a state: a [`Config`] when stepped on the fly,
+/// a [`StateId`](crate::StateId) in a compiled row.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Step {
+pub enum Step<S = Config> {
     /// An externally visible communication.
-    Visible(Event, Config),
+    Visible(Event, S),
     /// A communication concealed by `chan L; …`; it advances the network
     /// without extending the visible trace.
-    Internal(Config),
+    Internal(S),
 }
 
 /// The transition-system view of a definition list.
@@ -319,7 +321,7 @@ impl<'a> Lts<'a> {
     /// The set of visible traces of length at most `depth`, exploring at
     /// most `internal_budget` concealed communications along any path
     /// (defaults used by [`traces`](Self::traces): `depth × 3`, matching
-    /// the denotational hide multiplier).
+    /// the denotational hide multiplier). See [`walk::traces`].
     ///
     /// # Errors
     ///
@@ -330,17 +332,7 @@ impl<'a> Lts<'a> {
         depth: usize,
         internal_budget: usize,
     ) -> Result<TraceSet, EvalError> {
-        let mut out = TraceSet::stop();
-        let mut seen: BTreeSet<(Trace, Config)> = BTreeSet::new();
-        self.explore(
-            start,
-            depth,
-            internal_budget,
-            &Trace::empty(),
-            &mut out,
-            &mut seen,
-        )?;
-        Ok(out)
+        walk::traces(&mut self.clone(), start, depth, internal_budget)
     }
 
     /// The set of visible traces of length at most `depth`, with the
@@ -352,44 +344,20 @@ impl<'a> Lts<'a> {
     pub fn traces(&self, start: &Config, depth: usize) -> Result<TraceSet, EvalError> {
         self.traces_budgeted(start, depth, depth * 3)
     }
+}
 
-    fn explore(
-        &self,
-        config: &Config,
-        depth: usize,
-        internal_budget: usize,
-        prefix: &Trace,
-        out: &mut TraceSet,
-        seen: &mut BTreeSet<(Trace, Config)>,
-    ) -> Result<(), EvalError> {
-        // Dedup (trace, configuration) pairs to cut re-exploration of
-        // confluent interleavings.
-        if !seen.insert((prefix.clone(), config.clone())) {
-            return Ok(());
-        }
-        out.insert_closed(prefix.clone());
-        for step in self.steps(config)? {
-            match step {
-                Step::Visible(e, next) => {
-                    if depth > 0 {
-                        self.explore(
-                            &next,
-                            depth - 1,
-                            internal_budget,
-                            &prefix.snoc(e),
-                            out,
-                            seen,
-                        )?;
-                    }
-                }
-                Step::Internal(next) => {
-                    if internal_budget > 0 {
-                        self.explore(&next, depth, internal_budget - 1, prefix, out, seen)?;
-                    }
-                }
-            }
-        }
-        Ok(())
+/// The on-the-fly relation: a state is its configuration, and every
+/// visit re-steps the term.
+impl Successors for Lts<'_> {
+    type State = Config;
+    type Row = Vec<Step>;
+
+    fn successors(&mut self, state: &Config) -> Result<Vec<Step>, EvalError> {
+        self.steps(state)
+    }
+
+    fn config<'s>(&'s self, state: &'s Config) -> &'s Config {
+        state
     }
 }
 
@@ -411,7 +379,7 @@ mod tests {
     use super::*;
     use crate::Semantics;
     use csp_lang::{examples, parse_definitions};
-    use csp_trace::Value;
+    use csp_trace::{Trace, Value};
 
     fn tr(pairs: &[(&'static str, u32)]) -> Trace {
         Trace::parse_like(pairs.iter().map(|&(c, n)| (c, Value::nat(n))))

@@ -15,10 +15,10 @@
 //! and *genuine deadlock* (some component still has program text but no
 //! event can be agreed).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
-use csp_lang::{Definitions, Env, EvalError, Process};
-use csp_semantics::{CompiledLts, CompiledStep, Config, Lts, StateSet, Step, Universe};
+use csp_lang::{EvalError, Process};
+use csp_semantics::{Step, Successors};
 use csp_trace::Trace;
 
 /// A reachable dead configuration.
@@ -54,131 +54,59 @@ impl DeadlockReport {
     }
 }
 
-/// Searches for reachable dead configurations of `process` up to `depth`
-/// visible events (with an internal-step budget of `3 × depth` along any
-/// path, matching the semantics' hide handling).
+/// Searches breadth-first for reachable dead states of the relation
+/// from `start`, up to `depth` visible events and `internal_budget`
+/// concealed steps along any path. Breadth-first order makes witnesses
+/// shortest-first.
 ///
 /// # Errors
 ///
 /// Propagates evaluation failures from the transition relation.
-pub fn find_deadlocks(
-    defs: &Definitions,
-    universe: &Universe,
-    process: &Process,
-    env: &Env,
+pub fn find_deadlocks<R: Successors>(
+    rel: &mut R,
+    start: R::State,
     depth: usize,
+    internal_budget: usize,
 ) -> Result<DeadlockReport, EvalError> {
-    let lts = Lts::new(defs, universe);
     let mut report = DeadlockReport::default();
-    let mut seen: BTreeSet<Config> = BTreeSet::new();
+    let mut seen = BTreeSet::from([start.clone()]);
     let mut dead_seen: BTreeSet<String> = BTreeSet::new();
-    // Breadth-first so witnesses are shortest-first.
-    let mut frontier = vec![(
-        Config::new(process.clone(), env.clone()),
-        Trace::empty(),
-        0usize,
-    )];
-    seen.insert(frontier[0].0.clone());
+    let mut queue = VecDeque::from([(start, Trace::empty(), 0usize)]);
 
-    while let Some((config, trace, internal_used)) = pop_front(&mut frontier) {
+    while let Some((state, trace, internal_used)) = queue.pop_front() {
         report.states_explored += 1;
-        let steps = lts.steps(&config)?;
-        if steps.is_empty() {
-            let state = config.process().to_string();
-            if dead_seen.insert(state.clone()) {
+        let row = rel.successors(&state)?;
+        if row.is_empty() {
+            let process = rel.config(&state).process();
+            let rendered = process.to_string();
+            if dead_seen.insert(rendered.clone()) {
                 report.deadlocks.push(Deadlock {
-                    trace: trace.clone(),
-                    terminated: all_stop(config.process()),
-                    state,
+                    trace,
+                    terminated: all_stop(process),
+                    state: rendered,
                 });
             }
             continue;
         }
-        for step in steps {
+        for step in row.iter() {
             match step {
                 Step::Visible(e, next) => {
                     if trace.len() < depth && seen.insert(next.clone()) {
-                        frontier.push((next, trace.snoc(e), internal_used));
+                        queue.push_back((next.clone(), trace.snoc(*e), internal_used));
                     }
                 }
                 Step::Internal(next) => {
-                    if internal_used < depth * 3 && seen.insert(next.clone()) {
-                        frontier.push((next, trace.clone(), internal_used + 1));
+                    if internal_used < internal_budget && seen.insert(next.clone()) {
+                        queue.push_back((next.clone(), trace.clone(), internal_used + 1));
                     }
                 }
             }
         }
     }
-    // Completeness: we only cut exploration at the depth bound; within
-    // the bound every configuration was expanded.
+    // Completeness: exploration is cut only at the bounds; within them
+    // every state was expanded.
     report.complete = true;
     Ok(report)
-}
-
-/// The compiled-backend mirror of [`find_deadlocks`]: the identical
-/// breadth-first search run over a [`CompiledLts`] arena, with the seen
-/// set a [`StateSet`] bitset instead of an ordered configuration set and
-/// every re-visit a row lookup instead of a re-step. Produces the same
-/// report (same witnesses, same order, same `states_explored`) — the
-/// equivalence is asserted by the property harness in `tests/`.
-///
-/// # Errors
-///
-/// Propagates evaluation failures from the transition relation.
-pub fn find_deadlocks_compiled(
-    defs: &Definitions,
-    universe: &Universe,
-    process: &Process,
-    env: &Env,
-    depth: usize,
-) -> Result<DeadlockReport, EvalError> {
-    let mut lts = CompiledLts::new(defs, universe);
-    let mut report = DeadlockReport::default();
-    let mut seen = StateSet::new();
-    let mut dead_seen: BTreeSet<String> = BTreeSet::new();
-    let start = lts.intern(Config::new(process.clone(), env.clone()));
-    let mut frontier = vec![(start, Trace::empty(), 0usize)];
-    seen.insert(start);
-
-    while let Some((id, trace, internal_used)) = pop_front(&mut frontier) {
-        report.states_explored += 1;
-        let n = lts.steps_of(id)?.len();
-        if n == 0 {
-            let state = lts.state(id).process().to_string();
-            if dead_seen.insert(state.clone()) {
-                report.deadlocks.push(Deadlock {
-                    trace: trace.clone(),
-                    terminated: all_stop(lts.state(id).process()),
-                    state,
-                });
-            }
-            continue;
-        }
-        for k in 0..n {
-            match lts.steps_of(id)?[k].clone() {
-                CompiledStep::Visible(e, next) => {
-                    if trace.len() < depth && seen.insert(next) {
-                        frontier.push((next, trace.snoc(e), internal_used));
-                    }
-                }
-                CompiledStep::Internal(next) => {
-                    if internal_used < depth * 3 && seen.insert(next) {
-                        frontier.push((next, trace.clone(), internal_used + 1));
-                    }
-                }
-            }
-        }
-    }
-    report.complete = true;
-    Ok(report)
-}
-
-fn pop_front<T>(v: &mut Vec<T>) -> Option<T> {
-    if v.is_empty() {
-        None
-    } else {
-        Some(v.remove(0))
-    }
 }
 
 /// True when the term is `STOP` up to network structure.
@@ -194,14 +122,20 @@ fn all_stop(p: &Process) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_lang::{examples, parse_definitions, parse_process};
+    use csp_lang::{examples, parse_definitions, parse_process, Definitions, Env};
+    use csp_semantics::{CompiledLts, Config, Lts, Universe};
+
+    /// The search on the on-the-fly relation, with the default budget.
+    fn search(defs: &Definitions, uni: &Universe, p: &Process, depth: usize) -> DeadlockReport {
+        let start = Config::new(p.clone(), Env::new());
+        find_deadlocks(&mut Lts::new(defs, uni), start, depth, depth * 4).unwrap()
+    }
 
     #[test]
     fn pipeline_is_deadlock_free() {
         let defs = examples::pipeline();
         let uni = Universe::new(1);
-        let report =
-            find_deadlocks(&defs, &uni, &Process::call("pipeline"), &Env::new(), 4).unwrap();
+        let report = search(&defs, &uni, &Process::call("pipeline"), 4);
         assert!(report.deadlocks.is_empty());
         assert!(report.deadlock_free());
         assert!(report.states_explored > 1);
@@ -217,7 +151,7 @@ mod tests {
         )
         .unwrap();
         let uni = Universe::new(3);
-        let report = find_deadlocks(&defs, &uni, &Process::call("net"), &Env::new(), 3).unwrap();
+        let report = search(&defs, &uni, &Process::call("net"), 3);
         assert_eq!(report.deadlocks.len(), 1);
         let d = &report.deadlocks[0];
         assert!(d.trace.is_empty(), "witness should be <>: {}", d.trace);
@@ -229,7 +163,7 @@ mod tests {
     fn termination_is_distinguished_from_deadlock() {
         let defs = parse_definitions("once = a!1 -> b!2 -> STOP").unwrap();
         let uni = Universe::new(2);
-        let report = find_deadlocks(&defs, &uni, &Process::call("once"), &Env::new(), 4).unwrap();
+        let report = search(&defs, &uni, &Process::call("once"), 4);
         assert_eq!(report.deadlocks.len(), 1);
         assert!(report.deadlocks[0].terminated);
         assert!(report.deadlock_free());
@@ -245,7 +179,7 @@ mod tests {
         let defs = examples::pipeline();
         let uni = Universe::new(1);
         let choice = parse_process("STOP | copier").unwrap();
-        let report = find_deadlocks(&defs, &uni, &choice, &Env::new(), 3).unwrap();
+        let report = search(&defs, &uni, &choice, 3);
         assert!(report.deadlocks.is_empty());
         // …which is precisely the §4 complaint: neither the model nor
         // any tool built on it can see the STOP branch. The defect is a
@@ -259,12 +193,12 @@ mod tests {
         let defs = parse_definitions("lp = a!0 -> lp").unwrap();
         let uni = Universe::new(1);
         let hidden = parse_process("chan a; lp").unwrap();
-        let report = find_deadlocks(&defs, &uni, &hidden, &Env::new(), 2).unwrap();
+        let report = search(&defs, &uni, &hidden, 2);
         assert!(report.deadlocks.is_empty());
     }
 
     #[test]
-    fn compiled_search_matches_enumerative_reports() {
+    fn both_relations_give_the_same_report() {
         let fixtures: Vec<(Definitions, &str)> = vec![
             (examples::pipeline(), "pipeline"),
             (
@@ -284,17 +218,28 @@ mod tests {
         for (defs, name) in &fixtures {
             let uni = Universe::new(9);
             let p = Process::call(name);
-            let a = find_deadlocks(defs, &uni, &p, &Env::new(), 4).unwrap();
-            let b = find_deadlocks_compiled(defs, &uni, &p, &Env::new(), 4).unwrap();
-            assert_eq!(a.states_explored, b.states_explored, "{name}");
-            assert_eq!(a.complete, b.complete);
-            assert_eq!(a.deadlocks.len(), b.deadlocks.len(), "{name}");
-            for (x, y) in a.deadlocks.iter().zip(&b.deadlocks) {
-                assert_eq!(x.trace, y.trace, "{name}");
-                assert_eq!(x.state, y.state, "{name}");
-                assert_eq!(x.terminated, y.terminated, "{name}");
-            }
+            let a = search(defs, &uni, &p, 4);
+            let mut compiled = CompiledLts::new(defs, &uni);
+            let start = compiled.intern(Config::new(p, Env::new()));
+            let b = find_deadlocks(&mut compiled, start, 4, 16).unwrap();
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{name}");
         }
+    }
+
+    #[test]
+    fn budget_bounds_concealed_steps() {
+        // Four hidden steps precede the first visible one: a budget of
+        // three never gets there, a budget of four reaches the end.
+        let defs = parse_definitions("lp = a!0 -> a!0 -> a!0 -> a!0 -> out!0 -> STOP").unwrap();
+        let uni = Universe::new(1);
+        let start = || Config::new(parse_process("chan a; lp").unwrap(), Env::new());
+        let short = find_deadlocks(&mut Lts::new(&defs, &uni), start(), 1, 3).unwrap();
+        assert!(short.deadlocks.is_empty());
+        assert_eq!(short.states_explored, 4);
+        let long = find_deadlocks(&mut Lts::new(&defs, &uni), start(), 1, 4).unwrap();
+        assert_eq!(long.deadlocks.len(), 1);
+        assert_eq!(long.deadlocks[0].trace.to_string(), "<out.0>");
+        assert!(long.deadlocks[0].terminated);
     }
 
     #[test]
@@ -308,7 +253,7 @@ mod tests {
         )
         .unwrap();
         let uni = Universe::new(9);
-        let report = find_deadlocks(&defs, &uni, &Process::call("net"), &Env::new(), 4).unwrap();
+        let report = search(&defs, &uni, &Process::call("net"), 4);
         assert_eq!(report.deadlocks.len(), 1);
         let d = &report.deadlocks[0];
         assert_eq!(d.trace.len(), 1, "jams after the first exchange");

@@ -20,7 +20,7 @@ use csp_runtime::{
     check_conformance, ConformanceReport, Executor, FaultPlan, RunError, RunOptions, RunOutcome,
     Scheduler, Supervision,
 };
-use csp_semantics::Universe;
+use csp_semantics::{Engine, Universe};
 use rayon::prelude::*;
 
 /// What to sweep: the cartesian product of `seeds` and `plans`.
@@ -201,6 +201,7 @@ pub fn fault_conformance(
                 &res.visible,
                 invariants,
                 budget,
+                Engine::Auto,
             )
             .map_err(FaultConfError::Eval)?;
             Ok(DegradedRun {

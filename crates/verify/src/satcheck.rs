@@ -13,7 +13,7 @@
 use csp_assert::{AssertError, Assertion, EvalCtx, FuncTable};
 use csp_lang::{Definitions, Env, Process};
 use csp_obs::Collector;
-use csp_semantics::{CompiledLts, Config, Engine, Lts, Universe};
+use csp_semantics::{walk, CompiledLts, Config, Engine, Lts, Universe};
 use csp_trace::Trace;
 use rayon::prelude::*;
 
@@ -139,16 +139,18 @@ impl<'a> SatChecker<'a> {
         let budget = depth * self.internal_budget_factor;
         let traces = match engine {
             Engine::Compiled => {
-                let mut compiled = CompiledLts::new(self.defs, self.universe);
-                let s = compiled.intern(start);
-                compiled
-                    .traces_budgeted(s, depth, budget)
-                    .map_err(AssertError::Eval)?
+                let mut rel = CompiledLts::new(self.defs, self.universe);
+                let s = rel.intern(start);
+                walk::traces(&mut rel, &s, depth, budget)
             }
-            _ => Lts::new(self.defs, self.universe)
-                .traces_budgeted(&start, depth, budget)
-                .map_err(AssertError::Eval)?,
-        };
+            _ => walk::traces(
+                &mut Lts::new(self.defs, self.universe),
+                &start,
+                depth,
+                budget,
+            ),
+        }
+        .map_err(AssertError::Eval)?;
         explore_span.end();
         // Each moment is checked independently; fan out, then scan the
         // verdicts in trace order so the reported counterexample is the

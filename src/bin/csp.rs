@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! csp lint      <file.csp> [more.csp ...] [--json] [--deny warnings]
-//! csp validate  <file.csp> [--json]          (deprecated alias of lint)
 //! csp traces    <file.csp> --process NAME [--depth N] [--nat-bound K]
 //! csp check     <file.csp> --process NAME --assert EXPR [--depth N]
 //!               [--engine enumerative|compiled|auto]
@@ -21,13 +20,13 @@
 //! ```
 //!
 //! Verification commands (`check`, `prove`, `deadlock`) accept
-//! `--engine enumerative|compiled|auto` to pick the backend: the
-//! enumerative engine re-derives traces from the operational semantics
-//! on every visit, while the compiled engine interns reachable states
-//! into an explicit LTS and answers by bitset reachability. `auto` (the
-//! default) selects compiled for networks (`||` / `chan … ;` hiding) and
-//! enumerative for sequential processes. Verdicts agree; the resolved
-//! engine is reported in `--json` envelopes as `"engine"`.
+//! `--engine enumerative|compiled|auto` to pick the transition relation
+//! each query walks: `enumerative` steps the process terms on every
+//! visit, `compiled` interns reachable states and memoises their
+//! successor rows. `auto` (the default) selects compiled for networks
+//! (`||` / `chan … ;` hiding) and enumerative for sequential processes.
+//! Verdicts agree; the resolved engine is reported in `--json`
+//! envelopes as `"engine"`.
 //!
 //! Common options: `--nat-bound K` (finite carrier for NAT, default 2),
 //! `--set M=v1,v2,…` (interpret a named abstract set), `--bind v=1,2,3`
@@ -139,8 +138,6 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   csp lint      <file.csp> [more.csp ...] [--json] [--deny warnings]
                 [--process NAME --assert EXPR]
-  csp validate  <file.csp> [--json]
-                DEPRECATED: alias of `csp lint`; use `csp lint` directly
   csp traces    <file.csp> --process NAME [--depth N]
   csp check     <file.csp> --process NAME --assert EXPR [--depth N]
                 [--engine enumerative|compiled|auto]
@@ -161,11 +158,11 @@ const USAGE: &str = "usage:
 options:
   --json               machine-readable output, wrapped in the versioned
                        envelope {\"schema\":\"csp/v1\",\"command\":…,\"data\":…}
-                       (lint/validate/check/prove/run/profile)
+                       (lint/check/prove/run/profile)
   --deny warnings      treat lint warnings as errors (exit 1)
-  --engine E           verification backend for check/prove/deadlock:
-                       enumerative (trace re-derivation), compiled
-                       (interned-state LTS + bitset reachability), or
+  --engine E           transition relation for check/prove/deadlock:
+                       enumerative (terms stepped on every visit),
+                       compiled (interned states, memoised rows), or
                        auto (compiled for networks; the default)
   --trace-out PATH     write the recorded span stream as JSONL
                        (lint/check/prove/run/profile)
@@ -561,12 +558,9 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
         }
         return csp_lsp::serve_stdio().map_err(|e| format!("lsp transport failure: {e}"));
     }
-    let opts = parse_opts(rest, cmd == "lint" || cmd == "validate")?;
-    if cmd == "lint" || cmd == "validate" {
-        if cmd == "validate" {
-            eprintln!("warning: `csp validate` is deprecated; use `csp lint`");
-        }
-        return run_lint(&opts, cmd);
+    let opts = parse_opts(rest, cmd == "lint")?;
+    if cmd == "lint" {
+        return run_lint(&opts);
     }
     if cmd == "profile" {
         return run_profile(&opts);
@@ -990,9 +984,7 @@ fn append_metrics(data: &mut String, session: &Session<'_>, opts: &Opts) {
 
 /// Lints every file in `opts.files`; returns Ok(true) when nothing
 /// blocking was found (no errors, and no warnings under `--deny`).
-/// `command` is `lint` or its deprecated alias `validate` — the envelope
-/// reports whichever was invoked.
-fn run_lint(opts: &Opts, command: &str) -> Result<bool, String> {
+fn run_lint(opts: &Opts) -> Result<bool, String> {
     let mut worst: Option<Severity> = None;
     let mut json_files = Vec::new();
     let mut all_diags: Vec<Diagnostic> = Vec::new();
@@ -1039,7 +1031,7 @@ fn run_lint(opts: &Opts, command: &str) -> Result<bool, String> {
             data.push_str(&m.to_json());
         }
         data.push('}');
-        println!("{}", envelope(command, &data));
+        println!("{}", envelope("lint", &data));
     } else if opts.metrics {
         let mut m = MetricsSnapshot::new();
         m.set_counter("lint.files", opts.files.len() as u64);

@@ -30,24 +30,6 @@ pipeline = chan wire; (copier || recopier)
 ";
 
 #[test]
-fn validate_is_a_deprecated_lint_alias() {
-    let f = write_fixture("pipeline.csp", PIPELINE);
-    let (stdout, stderr, code) = csp(&["validate", f.to_str().unwrap()]);
-    assert_eq!(code, Some(0), "{stdout}");
-    assert!(stdout.contains("ok (3 definition(s))"), "{stdout}");
-    assert!(stderr.contains("deprecated"), "{stderr}");
-    assert!(stderr.contains("use `csp lint`"), "{stderr}");
-}
-
-#[test]
-fn validate_reports_issues_with_exit_1() {
-    let f = write_fixture("broken.csp", "p = c!0 -> ghost\n");
-    let (stdout, _, code) = csp(&["validate", f.to_str().unwrap()]);
-    assert_eq!(code, Some(1));
-    assert!(stdout.contains("ghost"));
-}
-
-#[test]
 fn check_holds_and_refutes() {
     let f = write_fixture("pipeline2.csp", PIPELINE);
     let path = f.to_str().unwrap();
@@ -303,25 +285,6 @@ fn lint_checks_assertion_scope() {
     ]);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("[CSP009]"), "{stdout}");
-}
-
-#[test]
-fn validate_json_matches_lint_contract() {
-    let f = write_fixture("validate_json.csp", "p = c!0 -> ghost\n");
-    let (stdout, _, code) = csp(&["validate", "--json", f.to_str().unwrap()]);
-    assert_eq!(code, Some(1), "{stdout}");
-    // Same envelope as lint, but the command field records the alias.
-    assert!(
-        stdout.starts_with("{\"schema\":\"csp/v1\",\"command\":\"validate\",\"data\":"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("\"code\":\"CSP001\""), "{stdout}");
-    assert!(stdout.contains("\"column\":12"), "{stdout}");
-
-    let clean = write_fixture("validate_json_clean.csp", PIPELINE);
-    let (stdout, _, code) = csp(&["validate", "--json", clean.to_str().unwrap()]);
-    assert_eq!(code, Some(0), "{stdout}");
-    assert!(stdout.contains("\"diagnostics\":[]"), "{stdout}");
 }
 
 #[test]

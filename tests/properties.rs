@@ -342,7 +342,7 @@ proptest! {
             .expect("enumerative");
         let mut arena = csp::CompiledLts::new(&defs, &uni);
         let s = arena.intern(start);
-        let compiled = arena.traces_budgeted(s, depth, budget).expect("compiled");
+        let compiled = csp::walk::traces(&mut arena, &s, depth, budget).expect("compiled");
         prop_assert_eq!(&compiled, &enumerative);
 
         let naive_c = csp::NaiveTraceSet::closure_of(compiled.iter().cloned());
@@ -382,49 +382,50 @@ proptest! {
         }
     }
 
-    /// Compiled refinement (subset construction over bitset rows) agrees
-    /// with the enumerative trace-subset check in both directions.
+    /// Refinement by subset construction agrees with the trace-subset
+    /// check in both directions, on either relation.
     #[test]
     fn refinement_agrees_with_trace_subset(imp in arb_network(), spec in arb_network()) {
         let defs = Definitions::new();
         let uni = Universe::small();
         let depth = 3;
         let budget = depth * 4;
+        let (imp, spec) = (Config::new(imp, Env::new()), Config::new(spec, Env::new()));
 
-        let lts = Lts::new(&defs, &uni);
-        let imp_ts = lts
-            .traces_budgeted(&Config::new(imp.clone(), Env::new()), depth, budget)
-            .expect("impl traces");
-        let spec_ts = lts
-            .traces_budgeted(&Config::new(spec.clone(), Env::new()), depth, budget)
-            .expect("spec traces");
+        let mut lts = Lts::new(&defs, &uni);
+        let imp_ts = lts.traces_budgeted(&imp, depth, budget).expect("impl traces");
+        let spec_ts = lts.traces_budgeted(&spec, depth, budget).expect("spec traces");
         let subset = imp_ts.is_subset(&spec_ts);
 
+        let on_the_fly = csp::walk::refines(&mut lts, &imp, &spec, depth, budget).expect("refines");
         let mut arena = csp::CompiledLts::new(&defs, &uni);
-        let i = arena.intern(Config::new(imp, Env::new()));
-        let s = arena.intern(Config::new(spec, Env::new()));
-        let verdict = arena.refines(i, s, depth, budget).expect("refines");
+        let i = arena.intern(imp);
+        let s = arena.intern(spec);
+        let memoised = csp::walk::refines(&mut arena, &i, &s, depth, budget).expect("refines");
+        prop_assert_eq!(&on_the_fly, &memoised);
 
-        match verdict {
-            Ok(()) => prop_assert!(subset, "compiled says refines, subset check disagrees"),
+        match memoised {
+            Ok(()) => prop_assert!(subset, "walk says refines, subset check disagrees"),
             Err(cex) => {
-                prop_assert!(!subset, "compiled refuted but subset holds: {}", cex);
+                prop_assert!(!subset, "walk refuted but subset holds: {}", cex);
                 prop_assert!(imp_ts.contains(&cex), "counterexample not an impl trace");
                 prop_assert!(!spec_ts.contains(&cex), "counterexample admitted by spec");
             }
         }
     }
 
-    /// The deadlock searches produce the same report — same witnesses in
-    /// the same order, same exploration count — on either backend.
+    /// The deadlock search produces the same report — same witnesses in
+    /// the same order, same exploration count — on either relation.
     #[test]
     fn deadlock_reports_agree_across_engines(p in arb_network()) {
         let defs = Definitions::new();
         let uni = Universe::small();
-        let enum_rep =
-            csp::find_deadlocks(&defs, &uni, &p, &Env::new(), 3).expect("enumerative");
-        let comp_rep =
-            csp::find_deadlocks_compiled(&defs, &uni, &p, &Env::new(), 3).expect("compiled");
+        let start = Config::new(p, Env::new());
+        let enum_rep = csp::find_deadlocks(&mut Lts::new(&defs, &uni), start.clone(), 3, 12)
+            .expect("enumerative");
+        let mut arena = csp::CompiledLts::new(&defs, &uni);
+        let s = arena.intern(start);
+        let comp_rep = csp::find_deadlocks(&mut arena, s, 3, 12).expect("compiled");
         prop_assert_eq!(enum_rep.deadlock_free(), comp_rep.deadlock_free());
         prop_assert_eq!(format!("{enum_rep:?}"), format!("{comp_rep:?}"));
     }
